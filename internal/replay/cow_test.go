@@ -126,8 +126,8 @@ rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
 		replay.WithIncrementalReplay(true),
 		replay.WithCheckpointEvery(8),
 		replay.WithPrefixCacheSize(1),
-		// Delta replay anchors every change set at the end of the log,
-		// collapsing the alternating anchors this test needs.
+		// Delta replay forks the shared base run and never reaches the
+		// prefix cache, whose alternating anchors this test needs.
 		replay.WithDeltaReplay(false))
 	if err := sess.Insert("r", ndlog.NewTuple("edge", ndlog.Int(1), ndlog.Int(2)), 0); err != nil {
 		t.Fatal(err)

@@ -35,9 +35,9 @@ func cacheTestSession(t *testing.T, n int64, opts ...SessionOption) *Session {
 // builds under the lock, neither would see the other and both would time
 // out.
 func TestPrefixBuildsOverlap(t *testing.T) {
-	// Delta replay anchors every change set at the end of the log; the
-	// distinct per-change anchors this test needs require the full-suffix
-	// path.
+	// Delta replay forks the shared base run and never reaches the prefix
+	// cache; the distinct per-change anchors this test needs require the
+	// full-suffix path.
 	s := cacheTestSession(t, 200, WithDeltaReplay(false))
 
 	const timeout = 30 * time.Second
@@ -143,7 +143,9 @@ func TestPrefixCachePublishDuplicate(t *testing.T) {
 // is a hit and the cache never desyncs (the symptom of the publish bug
 // was effective capacity shrinking until every acquire rebuilt).
 func TestPrefixCacheRepeatedAnchors(t *testing.T) {
-	s := cacheTestSession(t, 100, WithCheckpointEvery(10))
+	// Delta replay never reaches the prefix cache: the per-change anchors
+	// need the full-suffix path.
+	s := cacheTestSession(t, 100, WithCheckpointEvery(10), WithDeltaReplay(false))
 	anchors := []int64{15, 35, 55, 75, 95, 15, 35, 55, 75, 95, 15, 95}
 	for i, a := range anchors {
 		_, _, err := s.ReplayWith([]Change{{
@@ -158,6 +160,9 @@ func TestPrefixCacheRepeatedAnchors(t *testing.T) {
 	c := s.prefix
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.entries) < 5 {
+		t.Fatalf("cache holds %d entries, want at least the 5 distinct anchors", len(c.entries))
+	}
 	if len(c.entries) != len(c.order) {
 		t.Fatalf("entries/order desynced after repeated anchors: %d vs %d", len(c.entries), len(c.order))
 	}
@@ -200,8 +205,8 @@ func TestLogEventsReturnsCopy(t *testing.T) {
 // forked prefix skips must equal the number of log events at or before
 // the anchor, including with duplicate and unsorted ticks.
 func TestCountUpToIndex(t *testing.T) {
-	// Per-change-tick anchors: delta replay would raise them all to the
-	// end of the log.
+	// Per-change-tick anchors: delta replay forks the shared base run
+	// instead.
 	s := NewSession(fwdProg, WithDeltaReplay(false))
 	if err := s.Insert("s1", ndlog.NewTuple("flowEntry", ndlog.Int(1),
 		ndlog.MustParsePrefix("0.0.0.0/0"), ndlog.Str("s2")), 0); err != nil {

@@ -625,3 +625,109 @@ func TestReplayIndexingOffMatchesDefault(t *testing.T) {
 		t.Errorf("indexing-off replay probed an index: %+v", st)
 	}
 }
+
+// TestGraphSingleBuildAcrossClones: clones taken before any Graph() share
+// one base-run build when they all ask for the graph at once.
+func TestGraphSingleBuildAcrossClones(t *testing.T) {
+	s := NewSession(fwdProg)
+	driveScenario(t, s)
+	var mu sync.Mutex
+	builds := 0
+	s.base.buildHook = func() {
+		mu.Lock()
+		builds++
+		mu.Unlock()
+	}
+	const n = 8
+	clones := make([]*Session, n)
+	for i := range clones {
+		clones[i] = s.Clone()
+	}
+	graphs := make([]*provenance.Graph, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, cl := range clones {
+		wg.Add(1)
+		go func(i int, cl *Session) {
+			defer wg.Done()
+			_, graphs[i], errs[i] = cl.Graph()
+		}(i, cl)
+	}
+	wg.Wait()
+	replays := 0
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if graphs[i] != graphs[0] {
+			t.Errorf("clone %d got a different base-run graph", i)
+		}
+		replays += clones[i].ReplayCount
+	}
+	if builds != 1 {
+		t.Errorf("base run built %d times across %d clones, want 1", builds, n)
+	}
+	if replays != 1 {
+		t.Errorf("clones accounted %d replays in total, want 1 (the single build)", replays)
+	}
+}
+
+// TestGraphSingleBuildAfterCancelledBuilder: when the clone building the
+// shared base run is cancelled mid-build, a clone waiting for that build
+// must not inherit the other request's error; it builds the run itself.
+func TestGraphSingleBuildAfterCancelledBuilder(t *testing.T) {
+	// More events than the cancellation check interval, so the cancelled
+	// build notices mid-schedule.
+	s := NewSession(fwdProg)
+	for i := int64(1); i <= 2*ctxCheckEvery; i++ {
+		if err := s.Insert("s1", ndlog.NewTuple("packet", ndlog.IP(uint32(i))), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	first := true
+	s.base.buildHook = func() {
+		if first { // only the first build (the one to be cancelled) blocks
+			first = false
+			close(started)
+			<-release
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	builderErr := make(chan error, 1)
+	go func() {
+		_, _, err := s.Clone().ReplayWithContext(ctx, []Change{{Insert: true, Node: "s1",
+			Tuple: ndlog.NewTuple("packet", ndlog.IP(0xffffffff)), Tick: 1}})
+		builderErr <- err
+	}()
+	select {
+	case <-started:
+	case err := <-builderErr:
+		t.Fatalf("trial finished without building the base run (err = %v)", err)
+	}
+	waiting := make(chan struct{}, 1)
+	s.base.waitHook = func() { waiting <- struct{}{} }
+	waiter := s.Clone()
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := waiter.Graph()
+		waiterErr <- err
+	}()
+	// The waiter has found the in-flight placeholder and is about to wait
+	// on it; only now does the builder fail.
+	<-waiting
+	cancel()
+	close(release)
+	if err := <-builderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled builder: err = %v, want context.Canceled", err)
+	}
+	if err := <-waiterErr; err != nil {
+		t.Errorf("waiter inherited the cancelled build's failure: %v", err)
+	}
+	if waiter.ReplayCount != 1 {
+		t.Errorf("waiter ReplayCount = %d, want 1 (it rebuilt the run)", waiter.ReplayCount)
+	}
+}

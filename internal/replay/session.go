@@ -45,21 +45,23 @@ func (c Change) String() string {
 // harness and the server report them alongside the replay timings.
 type ReplayStats struct {
 	// PrefixHits counts replays that forked an already-materialized
-	// prefix engine; PrefixMisses counts replays that had to build one.
+	// engine — the shared base run (delta replay) or a cached prefix
+	// (full-suffix replay, ReplayUntil); PrefixMisses counts replays that
+	// had to build it first.
 	PrefixHits   int64
 	PrefixMisses int64
-	// ForkNanos is the total wall-clock time spent deep-copying prefix
-	// engines and their provenance graphs.
+	// ForkNanos is the total wall-clock time spent forking those engines
+	// and their provenance graphs (copy-on-write by default).
 	ForkNanos int64
 	// EventsSkipped is the total number of logged base events that
 	// incremental replays did not re-execute (they were already evaluated
-	// inside the forked prefix).
+	// inside the forked engine; the whole log for a base-run fork).
 	EventsSkipped int64
 	// EventsReFired is the total number of logged base events that
 	// counterfactual replays did re-execute after the fork point. With
-	// delta replay (WithDeltaReplay, default on) the fork anchors at the
-	// end of the log and this stays zero on cache hits: the changes
-	// propagate through the delta phase instead of re-firing the suffix.
+	// delta replay (WithDeltaReplay, default on) trials fork the fully
+	// evaluated base run and this stays zero: the changes propagate
+	// through the delta phase instead of re-firing the suffix.
 	EventsReFired int64
 	// DirtyTables is the total number of (node, table) pairs the delta
 	// phases of counterfactual replays touched — the footprint the
@@ -118,6 +120,39 @@ type prefixCache struct {
 	buildHook func(anchor int64)
 }
 
+// baseRun is the log evaluated in full, once, with a provenance recorder
+// attached, then sealed: the engine and graph Graph() returns in
+// QueryTime mode, and the copy-on-write anchor every delta trial forks
+// (§4.6: clone the recorded execution, change only the clone). It is
+// published as a placeholder before its engine exists; ready is closed
+// once the build completes (filling eng/rec, or err on failure). After
+// ready it is immutable, so readers need no lock.
+type baseRun struct {
+	logLen int // log length the run was built from
+
+	ready chan struct{}
+	err   error
+	eng   *ndlog.Engine
+	rec   *provenance.Recorder
+}
+
+// baseRunCache holds the current base run. It is shared by pointer
+// across Clone(), so clones taken before the first Graph() still pay for
+// one build between them: the first acquire for a log length publishes
+// a placeholder and builds outside the lock, later ones wait on it.
+type baseRunCache struct {
+	mu  sync.Mutex
+	cur *baseRun
+
+	// buildHook, when set, runs outside the lock at the start of every
+	// build; tests use it to count builds. waitHook, when set, runs
+	// outside the lock whenever an acquire is about to wait on a run
+	// another caller published; tests use it to order a waiter before the
+	// builder finishes.
+	buildHook func()
+	waitHook  func()
+}
+
 // Session couples a live engine with the logging engine, and provides the
 // replay operations DiffProv needs. It is the embodiment of the paper's
 // five-component architecture minus the reasoning engine (which lives in
@@ -134,35 +169,28 @@ type Session struct {
 	lastCkpt  int64
 	ckpts     []ndlog.Snapshot
 
+	// base is the shared sealed base run (see baseRun).
+	base *baseRunCache
+
 	// incremental enables checkpoint-anchored roll-forward: ReplayWith
-	// forks a cached prefix engine instead of re-executing the whole log.
+	// forks a cached engine instead of re-executing the whole log.
 	incremental bool
 	prefix      *prefixCache
-	// deltaReplay anchors counterfactual forks at the END of the log
-	// (default on): the whole base run is evaluated once, cached, and
-	// every trial forks it and propagates only its change set through the
+	// deltaReplay makes counterfactual trials fork the shared base run
+	// (default on) and propagate only their change set through the
 	// engine's delta phase instead of re-firing the event suffix.
 	deltaReplay bool
-	// lastTickMemo caches the maximum event tick of the log (lastTickLen
-	// is the log length it was computed from).
-	lastTickMemo int64
-	lastTickLen  int
-	// cowForks makes cached prefixes sealed and forked copy-on-write
+	// cowForks makes cached engines sealed and forked copy-on-write
 	// (default on); prefixSize overrides the prefix-cache capacity; and
-	// warmStart makes Open rehydrate the last checkpoint-anchored prefix
-	// so the first counterfactual replay after a restart hits the cache.
+	// warmStart makes Open build the engine the first counterfactual
+	// replay after a restart forks (see warmAnchor).
 	cowForks   bool
 	prefixSize int
 	warmStart  bool
 
-	// memoized full replay for query-time provenance
-	replayed    *ndlog.Engine
-	replayedG   *provenance.Graph
-	replayedLen int // log length the memo was built from
-
 	// ReplayTime accumulates wall-clock time spent replaying (including
-	// prefix materialization), and ReplayCount the number of replays; the
-	// turnaround experiments (Figure 7) read these.
+	// base-run builds and prefix materialization), and ReplayCount the
+	// number of replays; the turnaround experiments (Figure 7) read these.
 	ReplayTime  time.Duration
 	ReplayCount int
 	// Stats counts incremental roll-forward activity.
@@ -239,12 +267,13 @@ func WithPrefixCacheSize(n int) SessionOption {
 	}
 }
 
-// WithWarmStart makes Open rehydrate a checkpoint-anchored prefix engine
-// from the recovered log after a restart (default off), so the first
-// incremental replay forks a warm prefix instead of paying a from-scratch
-// materialization. The prefix is rebuilt from the in-memory log — no
-// additional store reads — and verified against the durable checkpoint
-// snapshot it anchors on.
+// WithWarmStart makes Open build, after a restart (default off), the
+// engine the first counterfactual replay forks, so that replay does not
+// pay for the build: the shared base run (see Graph) under delta replay,
+// the prefix at the last durable checkpoint under WithDeltaReplay(false),
+// nothing under WithIncrementalReplay(false). It is rebuilt from the
+// in-memory log — no additional store reads — and Open first verifies the
+// recovered execution against the last durable checkpoint snapshot.
 func WithWarmStart(on bool) SessionOption {
 	return func(s *Session) { s.warmStart = on }
 }
@@ -269,6 +298,7 @@ func NewSession(prog *ndlog.Program, opts ...SessionOption) *Session {
 		incremental: true,
 		deltaReplay: true,
 		cowForks:    true,
+		base:        &baseRunCache{},
 		prefix:      &prefixCache{entries: map[int64]*prefixEntry{}},
 	}
 	for _, o := range opts {
@@ -341,7 +371,7 @@ func FromLog(prog *ndlog.Program, l *Log, opts ...SessionOption) (*Session, erro
 
 // Clone returns an independent session over the same captured execution.
 // It reuses the copy-on-write structure of counterfactual roll-forward
-// (§4.6): the immutable program, engine options, memoized replay, and the
+// (§4.6): the immutable program, engine options, sealed base run, and the
 // prefix cache are shared, the base-event log is copied, and the replay
 // statistics start at zero. Clones are how concurrent diagnoses isolate
 // their mutable state — each one replays and accounts time privately, so
@@ -352,10 +382,10 @@ func FromLog(prog *ndlog.Program, l *Log, opts ...SessionOption) (*Session, erro
 // That sharing extends to the engines' join indexes: indexes are built
 // eagerly while an engine runs and are never created or mutated by
 // queries (TuplesAt/TuplesMatchingAt/Exists), so concurrent clones can
-// probe the shared live or memoized-replay engine without locking. The
-// prefix cache is shared by pointer and internally synchronized: each
-// materialized prefix is immutable once published, and every
-// counterfactual roll-forward (ReplayWith) Forks it into a private
+// probe the shared live or base-run engine without locking. The base
+// run and the prefix cache are shared by pointer and internally
+// synchronized: each materialized engine is sealed once published, and
+// every counterfactual roll-forward (ReplayWith) Forks it into a private
 // engine of its own.
 //
 // Clones detach from persistent storage: only the original session
@@ -374,10 +404,8 @@ func (s *Session) Clone() *Session {
 		ckpts:       append([]ndlog.Snapshot(nil), s.ckpts...),
 		incremental: s.incremental,
 		deltaReplay: s.deltaReplay,
+		base:        s.base,
 		prefix:      s.prefix,
-		replayed:    s.replayed,
-		replayedG:   s.replayedG,
-		replayedLen: s.replayedLen,
 		engineOpts:  s.engineOpts,
 		recOpts:     s.recOpts,
 		cowForks:    s.cowForks,
@@ -499,21 +527,27 @@ func (s *Session) StateAt(tick int64) (ndlog.Snapshot, bool) {
 }
 
 // Graph returns the provenance graph of the execution so far: directly in
-// Runtime mode, via (memoized) replay in QueryTime mode. The returned
-// engine exposes the temporal store backing the graph.
+// Runtime mode, from the shared base run in QueryTime mode. The returned
+// engine exposes the temporal store backing the graph. In QueryTime mode
+// both are sealed and read-only: counterfactual trials fork them, so they
+// must never be run, scheduled, or recorded into (a sealed engine refuses
+// Run and Schedule*). The base run is built on first use per log length
+// and shared with every clone; a build counts as one replay in
+// ReplayCount and ReplayTime.
 func (s *Session) Graph() (*ndlog.Engine, *provenance.Graph, error) {
 	if s.mode == Runtime {
 		return s.live, s.liveRec.Graph(), nil
 	}
-	if s.replayed != nil && s.replayedLen == s.log.Len() {
-		return s.replayed, s.replayedG, nil
-	}
-	e, g, err := s.Replay()
+	start := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
+	b, built, err := s.base.acquire(context.Background(), s)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.replayed, s.replayedG, s.replayedLen = e, g, s.log.Len()
-	return e, g, nil
+	if built {
+		s.ReplayTime += time.Since(start) //diffprov:allow detnow
+		s.ReplayCount++
+	}
+	return b.eng, b.rec.Graph(), nil
 }
 
 // Replay deterministically re-executes the log from scratch with a
@@ -538,14 +572,20 @@ const ctxCheckEvery = 4096
 // the replay aborts with the context's error as soon as the cancellation
 // is observed (between scheduled events).
 //
-// With incremental roll-forward enabled (the default) and at least one
-// change to inject, the replay forks a cached prefix engine — the log
-// evaluated up to an anchor tick shortly before the earliest change — and
-// pays only for the suffix. The result is byte-identical to the
-// from-scratch path: base-event stamps are schedule positions (the prefix
-// had the whole log scheduled before it ran), internal stamps are
-// processing positions, and the fork copies the mid-execution state
-// exactly.
+// With incremental and delta replay enabled (the default) and at least
+// one change to inject, the replay forks the shared base run (see Graph)
+// copy-on-write and pushes the changes through the engine's
+// counterfactual phase. The result is byte-identical to the from-scratch
+// path: the counterfactual phase starts only after the main work heap
+// drains, so a fork of the drained base run carries out exactly the work
+// a from-scratch engine does once its own base run has drained.
+//
+// With delta replay off (the full-suffix ablation arm), the replay forks
+// a cached prefix engine — the log evaluated up to an anchor tick shortly
+// before the earliest change — and re-fires the suffix. Base-event stamps
+// are schedule positions (the prefix had the whole log scheduled before
+// it ran), internal stamps are processing positions, and the fork copies
+// the mid-execution state exactly.
 func (s *Session) ReplayWithContext(ctx context.Context, changes []Change) (*ndlog.Engine, *provenance.Graph, error) {
 	start := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
 	defer func() {
@@ -555,17 +595,22 @@ func (s *Session) ReplayWithContext(ctx context.Context, changes []Change) (*ndl
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
-	if s.incremental && len(changes) > 0 {
-		anchor, ok := s.anchorFor(changes)
-		if s.deltaReplay {
-			// Delta replay anchors at the end of the log: the fork has the
-			// whole base run evaluated, so none of the suffix re-fires —
-			// the changes propagate through the engine's delta phase.
-			if t, lok := s.lastLogTick(); lok && (!ok || t > anchor) {
-				anchor, ok = t, true
-			}
+	if s.incremental && s.deltaReplay && len(changes) > 0 {
+		e, rec, err := s.forkBase(ctx)
+		if err != nil {
+			return nil, nil, err
 		}
-		if ok {
+		if err := s.scheduleChanges(ctx, e, changes); err != nil {
+			return nil, nil, err
+		}
+		if err := e.Run(); err != nil {
+			return nil, nil, fmt.Errorf("replay: %v", err)
+		}
+		s.Stats.DirtyTables += int64(e.Stats().DirtyTables)
+		return e, rec.Graph(), nil
+	}
+	if s.incremental && len(changes) > 0 {
+		if anchor, ok := s.anchorFor(changes); ok {
 			e, rec, processed, err := s.forkPrefix(ctx, anchor)
 			if err != nil {
 				return nil, nil, err
@@ -672,25 +717,6 @@ func (s *Session) anchorFor(changes []Change) (int64, bool) {
 	return target, true
 }
 
-// lastLogTick returns the maximum tick of any logged event (memoized per
-// log length); false when the log is empty.
-func (s *Session) lastLogTick() (int64, bool) {
-	if s.log.Len() == 0 {
-		return 0, false
-	}
-	if s.lastTickLen != s.log.Len() {
-		var max int64
-		first := true
-		s.log.Each(func(ev Event) {
-			if first || ev.Tick > max {
-				max, first = ev.Tick, false
-			}
-		})
-		s.lastTickMemo, s.lastTickLen = max, s.log.Len()
-	}
-	return s.lastTickMemo, true
-}
-
 // snapToCheckpoint rounds an anchor target down to the latest checkpoint
 // tick at or before it, when one exists. The checkpoint grid coarsens
 // the cache's base layer — injections at nearby ticks roll forward from
@@ -703,6 +729,87 @@ func (s *Session) snapToCheckpoint(target int64) int64 {
 		return s.ckpts[i-1].Tick
 	}
 	return target
+}
+
+// forkBase returns a private copy-on-write fork of the shared base run,
+// building the run first when no clone has yet. A fork of an existing
+// run counts as a prefix hit, a build as a miss.
+func (s *Session) forkBase(ctx context.Context) (*ndlog.Engine, *provenance.Recorder, error) {
+	b, built, err := s.base.acquire(ctx, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	if built {
+		s.Stats.PrefixMisses++
+	} else {
+		s.Stats.PrefixHits++
+	}
+	forkStart := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
+	rec := b.rec.Fork()
+	e := b.eng.Fork(rec)
+	s.Stats.ForkNanos += time.Since(forkStart).Nanoseconds() //diffprov:allow detnow
+	s.Stats.EventsSkipped += int64(b.logLen)
+	return e, rec, nil
+}
+
+// acquire returns the ready base run for the session's current log
+// length, and whether this call built it. The lock only covers the
+// lookup and placeholder publication; the run itself is built outside
+// it, and concurrent acquires for the same length wait on the
+// placeholder instead of duplicating the work. A run built from a
+// shorter log is replaced. A waiter whose builder failed retries, so one
+// caller's cancelled context never fails another's request.
+func (c *baseRunCache) acquire(ctx context.Context, s *Session) (*baseRun, bool, error) {
+	for {
+		c.mu.Lock()
+		b := c.cur
+		if b == nil || b.logLen != s.log.Len() {
+			break // still locked: publish and build below
+		}
+		wait := c.waitHook
+		c.mu.Unlock()
+		if wait != nil {
+			wait()
+		}
+		select {
+		case <-b.ready:
+		case <-ctx.Done():
+			return nil, false, fmt.Errorf("replay: %w", ctx.Err())
+		}
+		if b.err == nil {
+			return b, false, nil
+		}
+	}
+	b := &baseRun{logLen: s.log.Len(), ready: make(chan struct{})}
+	c.cur = b
+	hook := c.buildHook
+	c.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	eng, rec, err := s.scheduleScratch(ctx)
+	if err == nil {
+		if rerr := eng.Run(); rerr != nil {
+			err = fmt.Errorf("replay: building base run: %v", rerr)
+		}
+	}
+	if err != nil {
+		b.err = err
+		c.mu.Lock()
+		if c.cur == b {
+			c.cur = nil
+		}
+		c.mu.Unlock()
+		close(b.ready)
+		return nil, false, err
+	}
+	// The base run is immutable by contract; sealing makes the engine
+	// enforce that and enables copy-on-write forks of the pair.
+	rec.Seal()
+	eng.Seal()
+	b.eng, b.rec = eng, rec
+	close(b.ready)
+	return b, true, nil
 }
 
 // forkPrefix returns a private fork of the materialized prefix anchored

@@ -187,40 +187,60 @@ func Open(prog *ndlog.Program, dir string, opts ...SessionOption) (*Session, err
 	if driveErr != nil {
 		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, driveErr)
 	}
+	if err := s.verifyLastCheckpoint(); err != nil {
+		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, err)
+	}
 	if err := s.Run(); err != nil {
 		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, err)
 	}
-	if err := s.warmPrefix(); err != nil {
+	if err := s.warmAnchor(); err != nil {
 		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, err)
 	}
 	return s, nil
 }
 
-// warmPrefix rehydrates the checkpoint-anchored prefix engine after a
-// cold start (WithWarmStart): the last durable checkpoint's anchor is
-// materialized into the prefix cache from the already-recovered in-memory
-// log — no additional store reads — so the first counterfactual replay
-// forks a warm prefix instead of building one. The rebuilt engine's state
-// is verified against the durable snapshot it anchors on; a mismatch
-// means the store's checkpoint does not describe the recovered stream,
-// and the session fails loudly rather than serve replays from it.
-func (s *Session) warmPrefix() error {
+// warmAnchor builds, for a warm start, the engine the first
+// counterfactual replay after the restart forks, so that replay is a
+// hit: the shared base run under delta replay, the prefix at the last
+// durable checkpoint under the full-suffix arm. Both come from the
+// recovered in-memory log, with no further store reads. Without
+// incremental replay no trial forks anything, so nothing is built.
+func (s *Session) warmAnchor() error {
+	switch {
+	case !s.warmStart || !s.incremental:
+		return nil
+	case s.deltaReplay:
+		if _, _, err := s.base.acquire(context.Background(), s); err != nil {
+			return fmt.Errorf("warming base run: %v", err)
+		}
+	case s.lastCkpt > 0:
+		if _, _, err := s.prefix.acquire(context.Background(), s, s.lastCkpt); err != nil {
+			return fmt.Errorf("warming prefix at t=%d: %v", s.lastCkpt, err)
+		}
+	}
+	return nil
+}
+
+// verifyLastCheckpoint checks the recovered execution against the last
+// durable checkpoint before a warm start serves replays from it: the
+// re-drive runs up to the checkpoint's tick and its own snapshot there
+// must equal the stored one. A mismatch means the store's checkpoint does
+// not describe the recovered stream, and the session fails loudly. The
+// re-drive's live engine is the recovered execution; the base run replays
+// the same log through the same deterministic engine.
+func (s *Session) verifyLastCheckpoint() error {
 	if !s.warmStart || !s.incremental || s.lastCkpt <= 0 {
 		return nil
-	}
-	entry, _, err := s.prefix.acquire(context.Background(), s, s.lastCkpt)
-	if err != nil {
-		return fmt.Errorf("warming prefix at t=%d: %v", s.lastCkpt, err)
-	}
-	if entry == nil {
-		return nil // no events at or before the anchor: nothing to warm
 	}
 	stored, ok := s.StateAt(s.lastCkpt)
 	if !ok || stored.Tick != s.lastCkpt {
 		return nil // anchor checkpoint was skipped at attach; nothing to verify
 	}
-	if got := entry.eng.CaptureStateAt(s.lastCkpt); !snapshotEqual(got, stored) {
-		return fmt.Errorf("warming prefix at t=%d: rebuilt state disagrees with durable checkpoint", s.lastCkpt)
+	if err := s.live.RunUntil(s.lastCkpt); err != nil {
+		return err
+	}
+	if got := s.live.CaptureStateAt(s.lastCkpt); !snapshotEqual(got, stored) {
+		return fmt.Errorf("re-driven state at t=%d disagrees with durable checkpoint", s.lastCkpt)
 	}
 	return nil
 }

@@ -408,11 +408,12 @@ func TestColdStartReplay1M(t *testing.T) {
 	}
 }
 
-// TestWarmStartPrefix: Open with WithWarmStart must rehydrate the
-// checkpoint-anchored prefix engine during recovery, so the very first
-// counterfactual replay forks a warm prefix (a cache hit) instead of
-// paying a from-scratch prefix build — and its result must be
-// byte-identical to a cold session's.
+// TestWarmStartPrefix: Open with WithWarmStart must build, during
+// recovery, the engine the first counterfactual replay forks — the shared
+// base run under delta replay, the checkpoint-anchored prefix under the
+// full-suffix arm — so that replay is a hit instead of paying for the
+// build, and its result must be byte-identical to a cold session's.
+// Without incremental replay nothing forks, so nothing is built.
 func TestWarmStartPrefix(t *testing.T) {
 	const n = 40
 	dir := t.TempDir()
@@ -422,39 +423,55 @@ func TestWarmStartPrefix(t *testing.T) {
 		t.Fatalf("CloseStorage: %v", err)
 	}
 
-	warm, err := Open(fwdProg, dir, WithCheckpointEvery(10), WithWarmStart(true))
-	if err != nil {
-		t.Fatalf("warm Open: %v", err)
-	}
-	defer warm.CloseStorage()
-	cold, err := Open(fwdProg, dir, WithCheckpointEvery(10))
-	if err != nil {
-		t.Fatalf("cold Open: %v", err)
-	}
-	defer cold.CloseStorage()
+	for _, delta := range []bool{true, false} {
+		t.Run(fmt.Sprintf("delta=%v", delta), func(t *testing.T) {
+			warm, err := Open(fwdProg, dir, WithCheckpointEvery(10), WithWarmStart(true), WithDeltaReplay(delta))
+			if err != nil {
+				t.Fatalf("warm Open: %v", err)
+			}
+			defer warm.CloseStorage()
+			cold, err := Open(fwdProg, dir, WithCheckpointEvery(10), WithDeltaReplay(delta))
+			if err != nil {
+				t.Fatalf("cold Open: %v", err)
+			}
+			defer cold.CloseStorage()
 
-	// The change lands just after the last durable checkpoint, so the
-	// replay anchors exactly on the prefix the warm start rebuilt.
-	change := []Change{{Insert: true, Node: "s1",
-		Tuple: ndlog.NewTuple("packet", ndlog.IP(9999)), Tick: n + 1}}
-	we, wg, err := warm.ReplayWith(change)
-	if err != nil {
-		t.Fatalf("warm ReplayWith: %v", err)
+			// The change lands just after the last durable checkpoint, so
+			// the full-suffix replay anchors exactly on the prefix the warm
+			// start rebuilt; a delta replay forks the base run.
+			change := []Change{{Insert: true, Node: "s1",
+				Tuple: ndlog.NewTuple("packet", ndlog.IP(9999)), Tick: n + 1}}
+			we, wg, err := warm.ReplayWith(change)
+			if err != nil {
+				t.Fatalf("warm ReplayWith: %v", err)
+			}
+			if warm.Stats.PrefixHits != 1 || warm.Stats.PrefixMisses != 0 {
+				t.Errorf("warm start: first replay hit/miss = %d/%d, want 1/0",
+					warm.Stats.PrefixHits, warm.Stats.PrefixMisses)
+			}
+			ce, cg, err := cold.ReplayWith(change)
+			if err != nil {
+				t.Fatalf("cold ReplayWith: %v", err)
+			}
+			if cold.Stats.PrefixMisses != 1 {
+				t.Errorf("cold start: first replay misses = %d, want 1", cold.Stats.PrefixMisses)
+			}
+			if got, want := serializeForTest(wg, we.CaptureState()), serializeForTest(cg, ce.CaptureState()); got != want {
+				t.Errorf("warm-start replay differs from cold replay:\nwarm:\n%.2000s\ncold:\n%.2000s", got, want)
+			}
+		})
 	}
-	if warm.Stats.PrefixHits != 1 || warm.Stats.PrefixMisses != 0 {
-		t.Errorf("warm start: first replay hit/miss = %d/%d, want 1/0",
-			warm.Stats.PrefixHits, warm.Stats.PrefixMisses)
-	}
-	ce, cg, err := cold.ReplayWith(change)
-	if err != nil {
-		t.Fatalf("cold ReplayWith: %v", err)
-	}
-	if cold.Stats.PrefixMisses != 1 {
-		t.Errorf("cold start: first replay misses = %d, want 1", cold.Stats.PrefixMisses)
-	}
-	if got, want := serializeForTest(wg, we.CaptureState()), serializeForTest(cg, ce.CaptureState()); got != want {
-		t.Errorf("warm-start replay differs from cold replay:\nwarm:\n%.2000s\ncold:\n%.2000s", got, want)
-	}
+
+	t.Run("incremental=false", func(t *testing.T) {
+		warm, err := Open(fwdProg, dir, WithCheckpointEvery(10), WithWarmStart(true), WithIncrementalReplay(false))
+		if err != nil {
+			t.Fatalf("warm Open: %v", err)
+		}
+		defer warm.CloseStorage()
+		if warm.base.cur != nil || len(warm.prefix.entries) != 0 {
+			t.Errorf("warm start without incremental replay built an anchor no trial forks")
+		}
+	})
 }
 
 // serializeForTest renders a graph and snapshot deterministically for
@@ -483,4 +500,35 @@ func serializeForTest(g *provenance.Graph, snap ndlog.Snapshot) string {
 		}
 	}
 	return sb.String()
+}
+
+// TestWarmStartRejectsBadCheckpoint: a warm start verifies the recovered
+// execution against the last durable checkpoint before building anything, so a checkpoint that does not describe the stored stream fails
+// Open; a cold start does not verify and opens.
+func TestWarmStartRejectsBadCheckpoint(t *testing.T) {
+	const n = 40
+	dir := t.TempDir()
+	s := NewSession(fwdProg, WithCheckpointEvery(10), WithStorage(dir))
+	driveForwarding(t, s, n)
+	last := s.Checkpoints()[len(s.Checkpoints())-1]
+	// Overwrite the last checkpoint with an empty state.
+	bogus := ndlog.Snapshot{Tick: last.Tick, State: map[string]map[string][]ndlog.Tuple{}}
+	if err := s.Storage().PutCheckpoint(last.Tick, s.Log().Len(), bogus); err != nil {
+		t.Fatalf("PutCheckpoint: %v", err)
+	}
+	if err := s.CloseStorage(); err != nil {
+		t.Fatalf("CloseStorage: %v", err)
+	}
+
+	if warm, err := Open(fwdProg, dir, WithCheckpointEvery(10), WithWarmStart(true)); err == nil {
+		warm.CloseStorage()
+		t.Fatal("warm Open accepted a checkpoint that disagrees with the recovered execution")
+	} else if !strings.Contains(err.Error(), "disagrees with durable checkpoint") {
+		t.Fatalf("warm Open error = %v, want a checkpoint disagreement", err)
+	}
+	cold, err := Open(fwdProg, dir, WithCheckpointEvery(10))
+	if err != nil {
+		t.Fatalf("cold Open: %v", err)
+	}
+	cold.CloseStorage()
 }

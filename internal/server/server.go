@@ -72,10 +72,6 @@ type Server struct {
 	// re-recording them.
 	dataDir string
 
-	// prefixCache, when positive, overrides how many materialized prefix
-	// engines each scenario's session keeps alive (replay's default is 8).
-	prefixCache int
-
 	// build constructs a scenario; replaceable in tests.
 	build func(name string, scale scenarios.Scale, opts ...scenarios.BuildOption) (*scenarios.Scenario, error)
 
@@ -131,18 +127,6 @@ func WithDataDir(dir string) Option {
 	return func(s *Server) { s.dataDir = dir }
 }
 
-// WithPrefixCacheSize overrides how many materialized prefix engines
-// each scenario's replay session keeps alive (replay's default is 8).
-// Larger caches keep more counterfactual anchors warm at the cost of
-// retaining more forked engine state; values < 1 are ignored.
-func WithPrefixCacheSize(n int) Option {
-	return func(s *Server) {
-		if n >= 1 {
-			s.prefixCache = n
-		}
-	}
-}
-
 // New creates a server at the given workload scale.
 func New(scale scenarios.Scale, opts ...Option) *Server {
 	s := &Server{
@@ -187,9 +171,6 @@ func (s *Server) scenario(name string) (*scenarios.Scenario, error) {
 		if s.dataDir != "" {
 			dir := filepath.Join(s.dataDir, store.SanitizeName(key))
 			opts = append(opts, scenarios.WithSessionOptions(replay.WithStorage(dir)))
-		}
-		if s.prefixCache > 0 {
-			opts = append(opts, scenarios.WithSessionOptions(replay.WithPrefixCacheSize(s.prefixCache)))
 		}
 		e.sc, e.err = s.build(key, s.scale, opts...)
 	})
